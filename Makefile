@@ -1,7 +1,7 @@
 # Tier-1 flow: `make ci` is what a checkin must keep green.
 GO ?= go
 
-.PHONY: build test race vet bench bench-hotpath bench-grid bench-shard bench-hybrid bench-policy bench-workload bench-check cache-clear cover ci conformance update-golden fuzz-smoke
+.PHONY: build test race vet bench bench-hotpath bench-grid bench-hybrid bench-policy bench-workload bench-check cache-clear cover ci conformance update-golden fuzz-smoke
 
 build:
 	$(GO) build ./...
@@ -50,16 +50,6 @@ bench-hotpath:
 # benchmark do.
 bench-grid:
 	$(GO) test -run '^$$' -bench BenchmarkGrid -benchmem -benchtime 5x -timeout 30m .
-
-# bench-shard measures the sharded conservative-parallel executor on the
-# MetroStar large-topology preset: one full single-seed run per iteration
-# under the serial plan and under 2/4/8 shards. Rewrites
-# results/BENCH_shard.json (wall clock, per-shard executed events, and
-# the load-balance speedup bound) and appends headline records to
-# results/BENCH_index.json. See bench_shard_test.go for the single-core
-# caveat on wall-clock ratios.
-bench-shard:
-	$(GO) test -run '^$$' -bench BenchmarkShard -benchmem -benchtime 3x -timeout 30m .
 
 # bench-hybrid measures the hybrid fluid/packet engine against the pure
 # packet engine on the MetroStar preset at 10^5 concurrent hosts: one

@@ -40,9 +40,7 @@ import (
 const hybridSpeedupFloor = 50.0
 
 // hybridBenchConfig is the MetroStar preset at 10^5 concurrent hosts
-// (short mode: 10^3), same admission design and simulated duration as the
-// sharded-executor benchmark so the two files describe comparable
-// workloads.
+// (short mode: 10^3) under the EAC drop in-band slow-start design.
 func hybridBenchConfig(short bool) eac.Config {
 	opts := eac.MetroStarOptions{Hosts: 100000}
 	dur, warm := 6*eac.Second, 2*eac.Second

@@ -76,13 +76,12 @@ func main() {
 		seeds    = flag.Int("seeds", 1, "number of seeds to average")
 		workers  = flag.Int("workers", 0, "parallel seed runs (0 = one per core); results are identical for any value")
 
-		// Topology (see README "Sharded runs and the MetroStar preset").
+		// Topology (see README "The MetroStar preset").
 		topology = flag.String("topology", "basic", "basic (one congested link) or metro-star (the large star-of-chains preset; -source/-tau/-life/-link/-prepopulate are derived from -hosts and ignored)")
 		chains   = flag.Int("chains", 0, "metro-star: access chains off the hub (0 = preset default 8)")
 		hops     = flag.Int("hops", 0, "metro-star: links per chain (0 = preset default 3)")
 		hosts    = flag.Int("hosts", 0, "metro-star: target concurrent host population (0 = preset default 10000)")
-		shrds    = flag.Int("shards", 1, "shard the simulation across up to this many domains (conservative parallel DES; 0 = one per core). Clamped to what the topology and method support; sharded runs are statistically equivalent, not byte-identical, to serial ones")
-		hybrid   = flag.Bool("hybrid", false, "carry data phases as per-link fluid rates instead of packets (hybrid fluid/packet engine; probes stay packet-level). Orders of magnitude faster at large scale; requires -method eac or none and the serial path (exclusive with -shards > 1)")
+		hybrid   = flag.Bool("hybrid", false, "carry data phases as per-link fluid rates instead of packets (hybrid fluid/packet engine; probes stay packet-level). Orders of magnitude faster at large scale; requires -method eac or none")
 		probeDur = flag.Float64("probe", 5, "total probe duration, seconds")
 		useRED   = flag.Bool("red", false, "use a RED queue instead of drop-tail (in-band designs only)")
 		retries  = flag.Int("retries", 0, "max admission retries with exponential back-off")
@@ -120,6 +119,11 @@ func main() {
 		pprofAddr = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
 	)
 	flag.Parse()
+	if *seeds < 1 {
+		log.Printf("-seeds must be >= 1, got %d", *seeds)
+		flag.Usage()
+		os.Exit(2)
+	}
 
 	if *pprofAddr != "" {
 		go func() { log.Printf("pprof: %v", http.ListenAndServe(*pprofAddr, nil)) }()
@@ -257,21 +261,10 @@ func main() {
 	if *hybrid {
 		cfg.Hybrid.Enabled = true
 	}
-	switch {
-	case *shrds < 0:
-		log.Fatalf("-shards must be >= 0, got %d", *shrds)
-	case *shrds == 0:
-		cfg.Shards = scenario.AutoShards(cfg)
-	default:
-		cfg.Shards = scenario.ShardableK(cfg, *shrds)
-	}
-	if *shrds != 1 && cfg.Shards == 1 {
-		log.Print("sharding: resolved to the serial path (single core with -shards 0, or unshardable topology or method, or the hybrid engine)")
-	}
 
 	seedVals := scenario.DefaultSeeds(*seeds)
 	start := time.Now()
-	mm, recs, err := scenario.RunSeedsObserved(cfg, seedVals, *workers)
+	mm, err := scenario.RunSeedsParallel(cfg, seedVals, *workers)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -294,8 +287,8 @@ func main() {
 			"prepopulate": *prepop, "probe_s": *probeDur,
 			"red": *useRED, "retries": *retries,
 			"metrics_interval_s": *mInterval, "trace_cap": *traceCap,
-			"topology": *topology, "shards": cfg.Shards,
-			"policy": cfg.Policy.Kind.String(),
+			"topology": *topology,
+			"policy":   cfg.Policy.Kind.String(),
 		}
 		if cfg.Load.Active() {
 			man.Config["load_period_s"] = cfg.Load.PeriodSec
@@ -316,17 +309,6 @@ func main() {
 			"loss": m.DataLossProb, "loss_stderr": mm.LossStderr,
 			"blocking": m.BlockingProb, "decided": m.Decided,
 			"probe_share": m.ProbeShare,
-		}
-		if cfg.Shards > 1 {
-			man.Shards = cfg.Shards
-		}
-		for _, r := range recs {
-			if r.Shards > 1 && len(r.ShardExecuted) > 0 {
-				if man.ShardExecuted == nil {
-					man.ShardExecuted = make(map[string][]uint64, len(recs))
-				}
-				man.ShardExecuted[fmt.Sprintf("s%d", r.Seed)] = r.ShardExecuted
-			}
 		}
 		if store != nil {
 			man.Cache = &cache.Snapshot{Dir: store.Dir(), Stats: store.Stats(),
@@ -350,9 +332,6 @@ func main() {
 	} else {
 		fmt.Printf("scenario : %s %s tau=%.2gs link=%.3gMb/s duration=%.0fs x %d seed(s)\n",
 			*method, *source, *tau, *linkBps/1e6, *duration, *seeds)
-	}
-	if cfg.Shards > 1 {
-		fmt.Printf("shards   : %d (conservative windowed parallel DES; statistically equivalent to serial)\n", cfg.Shards)
 	}
 	if cfg.Hybrid.Active() {
 		fmt.Printf("hybrid   : fluid data plane, packet probes (max background share %.2f)\n",

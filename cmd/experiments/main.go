@@ -37,11 +37,10 @@ func main() {
 	var (
 		run      = flag.String("run", "", "comma-separated experiment ids (default: all)")
 		paper    = flag.Bool("paper", false, "publication-scale runs (14000 s x 7 seeds; hours of CPU)")
-		seeds    = flag.Int("seeds", 0, "override seed count")
+		seeds    = flag.Int("seeds", 0, "override seed count (0 = the mode's default)")
 		duration = flag.Float64("duration", 0, "override run length, seconds")
 		warmup   = flag.Float64("warmup", 0, "override warm-up, seconds")
 		workers  = flag.Int("workers", 0, "parallel simulator runs (0 = one per core); results are identical for any value")
-		shards   = flag.Int("shards", 1, "shard each simulation across up to this many domains (conservative parallel DES; 0 = one per core). Unshardable points run serially; sharded output is statistically equivalent, not byte-identical — leave at 1 to reproduce published CSVs")
 		hybrid   = flag.Bool("hybrid", false, "run every endpoint-method point under the hybrid fluid/packet engine: data phases become per-link fluid rates, probes stay packets. Orders of magnitude faster at large scale; statistically close (see the hybrid crossval envelopes), not byte-identical — leave off to reproduce published CSVs")
 		outDir   = flag.String("out", "results", "directory for CSV output (empty = no files)")
 		verbose  = flag.Bool("v", false, "log every completed run")
@@ -67,6 +66,11 @@ func main() {
 		pprofAddr = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
 	)
 	flag.Parse()
+	if *seeds < 0 {
+		log.Printf("-seeds must be >= 0, got %d", *seeds)
+		flag.Usage()
+		os.Exit(2)
+	}
 
 	if *pprofAddr != "" {
 		go func() { log.Printf("pprof: %v", http.ListenAndServe(*pprofAddr, nil)) }()
@@ -103,13 +107,7 @@ func main() {
 	opts.Duration = sim.Seconds(*duration)
 	opts.Warmup = sim.Seconds(*warmup)
 	opts.Workers = *workers
-	opts.Shards = *shards
 	opts.Hybrid = *hybrid
-	if *shards == 0 {
-		opts.Shards = runtime.GOMAXPROCS(0)
-	} else if *shards < 0 {
-		log.Fatalf("-shards must be >= 0, got %d", *shards)
-	}
 	opts.Cache = store
 	if *policy != "" {
 		pk, err := admission.ParsePolicyKind(*policy)

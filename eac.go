@@ -229,10 +229,7 @@ type Preset = trafgen.Preset
 // LookupPreset resolves a preset by name (EXP1..EXP4, POO1, StarWars).
 func LookupPreset(name string) (Preset, error) { return trafgen.Lookup(name) }
 
-// Run executes one scenario and returns its metrics. When cfg.Shards
-// requests (or AutoShards selects) more than one shard, the run uses the
-// conservative-parallel sharded executor (DESIGN.md §4e); Shards <= 1 is
-// the byte-identical serial path.
+// Run executes one scenario and returns its metrics.
 func Run(cfg Config) (Metrics, error) { return scenario.Run(cfg) }
 
 // MetroStarOptions sizes the MetroStar large-topology preset.
@@ -240,19 +237,9 @@ type MetroStarOptions = scenario.MetroStarOptions
 
 // MetroStar builds the large-topology preset (a hub link fed by chains of
 // access links, ≥10⁴ concurrent hosts by default) used to exercise the
-// sharded executor at scale. Callers typically set Duration/Warmup and a
-// shard count on the returned Config.
+// simulator at scale. Callers typically set Duration/Warmup on the
+// returned Config.
 func MetroStar(opts MetroStarOptions) Config { return scenario.MetroStar(opts) }
-
-// AutoShards picks a shard count for this scenario on this machine:
-// GOMAXPROCS clamped by topology and method shardability (1 when the
-// scenario cannot shard). A zero Config.Shards always means serial;
-// callers opt in by assigning AutoShards' answer to Config.Shards.
-func AutoShards(cfg Config) int { return scenario.AutoShards(cfg) }
-
-// ShardableK clamps a requested shard count to what the scenario
-// supports; 1 means the serial path.
-func ShardableK(cfg Config, k int) int { return scenario.ShardableK(cfg, k) }
 
 // RunSeeds runs a scenario once per seed and aggregates the results,
 // mirroring the paper's seven-run averaging. Runs execute concurrently
@@ -268,7 +255,7 @@ func RunSeedsParallel(cfg Config, seeds []uint64, workers int) (MultiMetrics, er
 	return scenario.RunSeedsParallel(cfg, seeds, workers)
 }
 
-// DefaultSeeds returns n deterministic seeds.
+// DefaultSeeds returns n deterministic seeds (nil for n <= 0).
 func DefaultSeeds(n int) []uint64 { return scenario.DefaultSeeds(n) }
 
 // RunTCPShare executes the Section 4.7 legacy-router coexistence

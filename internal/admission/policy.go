@@ -225,8 +225,8 @@ const (
 )
 
 // Policy decides admission attempts and judges completed probes. A Policy
-// instance is owned by one run (one Runner, or one shard of a sharded
-// run) and is never called concurrently; implementations keep plain
+// instance is owned by one run (one Runner) and is never called
+// concurrently; implementations keep plain
 // mutable state. Policies must be deterministic — they draw no random
 // numbers — so runs stay reproducible and cacheable by config fingerprint.
 type Policy interface {
@@ -328,16 +328,6 @@ type TokenBucket struct {
 // NewTokenBucket builds a full token bucket.
 func NewTokenBucket(capacity, rate, cost float64) *TokenBucket {
 	return &TokenBucket{cap: capacity, rate: rate, cost: cost, tokens: capacity}
-}
-
-// Scale multiplies the bucket's capacity, refill rate, and current level
-// by share. Sharded runs scale each shard's bucket by its owned share of
-// the class weights, so the aggregate admission rate across shards matches
-// the serial policy's.
-func (p *TokenBucket) Scale(share float64) {
-	p.cap *= share
-	p.rate *= share
-	p.tokens *= share
 }
 
 // Name implements Policy.

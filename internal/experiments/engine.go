@@ -148,9 +148,6 @@ func (o Options) runJobs(jobs []Job) error {
 			c := jobs[job].Cfg
 			c.Seed = seeds[seed]
 			c.Cache = o.Cache
-			if o.Shards > 1 {
-				c.Shards = scenario.ShardableK(c, o.Shards)
-			}
 			if o.Policy != (admission.PolicyConfig{}) && c.Method == scenario.EAC &&
 				c.Policy == (admission.PolicyConfig{}) {
 				c.Policy = o.Policy
@@ -158,9 +155,6 @@ func (o Options) runJobs(jobs []Job) error {
 			if o.Hybrid && !c.Hybrid.Active() &&
 				(c.Method == scenario.EAC || c.Method == scenario.None) {
 				c.Hybrid.Enabled = true
-				// The hybrid engine is serial-only: drop any Shards count
-				// the o.Shards override set above.
-				c.Shards = 0
 			}
 			// Workload overrides follow the Policy rule: only jobs that
 			// did not pick a temporal source of their own are modulated,

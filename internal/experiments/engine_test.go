@@ -187,50 +187,3 @@ func TestParallelDeterminism(t *testing.T) {
 		t.Fatalf("progress logs diverged:\n%q\n%q", log1, log4)
 	}
 }
-
-// TestShardsOption pins the engine's -shards behaviour: on a grid whose
-// points cannot shard (single-link figure 2 scenarios), Options.Shards
-// is clamped away and output is byte-identical to the serial engine; on
-// a shardable multi-hop point the engine actually runs the sharded
-// executor and produces the same metrics as a direct sharded run.
-func TestShardsOption(t *testing.T) {
-	if testing.Short() {
-		t.Skip("simulation")
-	}
-	run := func(shards int) Table {
-		o := tinyOpts()
-		o.Shards = shards
-		tbl, err := Table3(o)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return tbl
-	}
-	if serial, sharded := run(0), run(4); !reflect.DeepEqual(serial, sharded) {
-		t.Fatalf("unshardable grid diverged under Options.Shards:\n%s\n%s", serial, sharded)
-	}
-
-	// Shardable point: the multi-hop base. The engine must hand the
-	// executor the clamped shard count, reproducing a direct sharded run.
-	o := tinyOpts()
-	o.Shards = 2
-	cfg := eacCfg(o.multiHopBase(), admission.DropInBand, admission.SlowStart, 0.01)
-	var got scenario.MultiMetrics
-	err := o.runJobs([]Job{{Label: "shard point", Cfg: cfg,
-		Done: func(mm scenario.MultiMetrics) error { got = mm; return nil }}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	direct := cfg
-	direct.Shards = scenario.ShardableK(cfg, 2)
-	if direct.Shards != 2 {
-		t.Fatalf("multi-hop base should shard 2 ways, ShardableK gave %d", direct.Shards)
-	}
-	want, err := scenario.RunSeeds(direct, o.seeds())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got.Mean, want.Mean) {
-		t.Fatalf("engine sharded point != direct sharded run:\n%+v\n%+v", got.Mean, want.Mean)
-	}
-}

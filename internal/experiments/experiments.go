@@ -63,15 +63,6 @@ type Options struct {
 	// vary run to run, while Progress lines are part of the
 	// byte-identical-output guarantee.
 	ETA func(done, total int, elapsed time.Duration)
-	// Shards, when above 1, runs each sweep-point simulation under the
-	// sharded conservative-parallel executor with up to this many shards
-	// (scenario.Config.Shards). Every job's count is clamped through
-	// scenario.ShardableK, so single-link or otherwise unshardable
-	// configurations silently take the serial path instead of erroring.
-	// Sharded runs are statistically equivalent but not byte-identical to
-	// serial ones (they fingerprint — and cache — separately); leave this
-	// zero to reproduce published CSVs exactly.
-	Shards int
 	// Cache, if non-nil, is the content-addressed result store consulted
 	// for every sweep run (scenario.Config.Cache): runs whose resolved
 	// config + seed fingerprint is stored are served without simulating,

@@ -33,8 +33,8 @@ import (
 // OR-ed in, decomposing total congestion into a packet-measured
 // foreground part and an analytic background part.
 //
-// A FluidBackground is single-goroutine state owned by one link (shards
-// never share one); attach with Attach, which also rescales the link.
+// A FluidBackground is single-goroutine state owned by one link; attach
+// with Attach, which also rescales the link.
 type FluidBackground struct {
 	// Model is the queue approximation for the physical buffer; the mark
 	// signal of marking designs always uses the virtual-queue model.

@@ -55,20 +55,6 @@ type inflight struct {
 	p  *Packet
 }
 
-// TxEndReceiver is a Receiver that can additionally take custody of a
-// packet at the instant its last bit leaves the upstream link, before the
-// propagation delay has elapsed. Boundary links use it to hand packets
-// across a shard border while the full propagation delay is still ahead of
-// them — that remaining delay is exactly the conservative lookahead the
-// sharded executor relies on.
-type TxEndReceiver interface {
-	Receiver
-	// ReceiveTxEnd takes the packet at transmission end. txEnd is the
-	// current time, delay the propagation delay still to be served before
-	// the packet reaches the next hop (so it is due at txEnd+delay).
-	ReceiveTxEnd(txEnd, delay sim.Time, p *Packet)
-}
-
 // Link serializes packets at a fixed rate through a queue discipline and
 // delivers them to the packet's next hop after a fixed propagation delay.
 // Per Section 3.2 the rate is the bandwidth allocated to the
@@ -86,14 +72,6 @@ type Link struct {
 	// router drops it instead (no ECN bits needed). Data packets are
 	// still marked, never virtually dropped.
 	VQDropProbes bool
-
-	// Boundary marks a link whose downstream side may live on another
-	// shard. On such a link, a packet whose next hop implements
-	// TxEndReceiver is handed over at transmission end — before the
-	// propagation delay — instead of entering the pipe; packets bound for
-	// ordinary receivers still take the pipe. False (the default) skips
-	// the check entirely, leaving the serial path untouched.
-	Boundary bool
 
 	// OnDrop, if set, observes every dropped packet; the callback owns the
 	// packet (typically returning it to a pool). If nil, drops are
@@ -145,8 +123,8 @@ func (l *Link) String() string { return fmt.Sprintf("link(%s)", l.Name) }
 // discipline's, which keeps its own arrays but is emptied). Packets still
 // queued, in transmission, or propagating are handed to recycle (nil
 // discards them to the garbage collector). The hooks — Marker, Bg,
-// VQDropProbes, Boundary, OnDrop, OnArrive, Tap — are cleared; the owner
-// reattaches whatever the new run needs. Callers that change the buffer capacity or
+// VQDropProbes, OnDrop, OnArrive, Tap — are cleared; the owner reattaches
+// whatever the new run needs. Callers that change the buffer capacity or
 // the discipline kind assign l.Q (or call PriorityPushout.SetCap) after
 // Reset returns. Must only be used together with Sim.Reset: the link's
 // internal events are Forgotten, which is valid only because the old
@@ -184,7 +162,6 @@ func (l *Link) Reset(rateBps float64, delay sim.Time, recycle func(*Packet)) {
 	l.Marker = nil
 	l.Bg = nil
 	l.VQDropProbes = false
-	l.Boundary = false
 	l.OnDrop, l.OnArrive, l.Tap = nil, nil, nil
 	l.txDone.Forget()
 	l.pipeEv.Forget()
@@ -312,17 +289,6 @@ func (l *Link) onTxDone(now sim.Time) {
 	l.txPkt = nil
 	l.Stats.SentBits[p.Kind] += int64(p.Bits())
 	l.Stats.SentPkts[p.Kind]++
-	if l.Boundary {
-		if t, ok := p.nextHop().(TxEndReceiver); ok {
-			if l.Tap != nil {
-				l.Tap.Handoff(now, p.FlowID, uint8(p.Kind), p.Size, p.Seq)
-			}
-			p.hop++
-			t.ReceiveTxEnd(now, l.Delay, p)
-			l.startTx(now)
-			return
-		}
-	}
 	// Constant propagation delay keeps deliveries FIFO, so one pending
 	// event suffices for the whole pipe.
 	l.pipePush(inflight{at: now + l.Delay, p: p})

@@ -76,15 +76,6 @@ func (p *Packet) Forward(now sim.Time) {
 	next.Receive(now, p)
 }
 
-// nextHop returns the receiver the packet would visit next without
-// advancing, or nil at the end of the route.
-func (p *Packet) nextHop() Receiver {
-	if p.hop >= len(p.Route) {
-		return nil
-	}
-	return p.Route[p.hop]
-}
-
 // Bits returns the packet size in bits.
 func (p *Packet) Bits() int { return p.Size * 8 }
 
@@ -94,8 +85,8 @@ func (p *Packet) Bits() int { return p.Size * 8 }
 const poolSlab = 256
 
 // Pool is a freelist of packets over slab arenas. A pool (and everything
-// carved from it) belongs to one simulation thread — a shard or a serial
-// run — so no locking is needed. At steady state packet churn causes no
+// carved from it) belongs to one run's simulation thread, so no locking
+// is needed. At steady state packet churn causes no
 // allocation.
 type Pool struct {
 	free []*Packet

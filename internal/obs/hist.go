@@ -7,8 +7,9 @@ import (
 	"eac/internal/stats"
 )
 
-// HistSchema versions the histogram artifact layout.
-const HistSchema = "eac/obs/hist/v1"
+// HistSchema versions the histogram artifact layout. v2 drops v1's
+// `shards`/`shard_executed` document fields and the per-link `shard`.
+const HistSchema = "eac/obs/hist/v2"
 
 // histBucket is one [lo, hi] bucket with its count.
 type histBucket [3]int64
@@ -28,7 +29,6 @@ type classHist struct {
 // accepted enqueue).
 type linkHist struct {
 	Link    string       `json:"link"`
-	Shard   int          `json:"shard"`
 	N       int64        `json:"n"`
 	Mean    float64      `json:"mean"`
 	P99     int64        `json:"p99"`
@@ -37,17 +37,15 @@ type linkHist struct {
 
 // histDoc is the histogram artifact: distributional stats that survive
 // trace-ring wraparound, replacing point P99 estimates. Buckets are
-// power-of-two [lo, hi, count] triples, exactly mergeable across shards
-// and seeds (stats.LogHist).
+// power-of-two [lo, hi, count] triples, exactly mergeable across seeds
+// (stats.LogHist).
 type histDoc struct {
-	Schema        string      `json:"schema"`
-	Seed          uint64      `json:"seed"`
-	Shards        int         `json:"shards"`
-	ShardExecuted []uint64    `json:"shard_executed,omitempty"`
-	Decisions     Decisions   `json:"decisions"`
-	TraceDropped  int64       `json:"trace_dropped"`
-	DelayNs       []classHist `json:"delay_ns"`
-	QueueDepth    []linkHist  `json:"queue_depth"`
+	Schema       string      `json:"schema"`
+	Seed         uint64      `json:"seed"`
+	Decisions    Decisions   `json:"decisions"`
+	TraceDropped int64       `json:"trace_dropped"`
+	DelayNs      []classHist `json:"delay_ns"`
+	QueueDepth   []linkHist  `json:"queue_depth"`
 }
 
 func buckets(h *stats.LogHist) []histBucket {
@@ -58,52 +56,33 @@ func buckets(h *stats.LogHist) []histBucket {
 	return out
 }
 
-// writeHist renders the merged histogram document for a set of per-shard
-// collectors (a serial run passes exactly one). Delay histograms are
-// merged across shards per class — every shard registers the same class
-// list — while depth histograms stay per (link, shard) because a link is
-// owned by exactly one shard.
-func writeHist(w io.Writer, cs []*Collector, seed uint64, exec []uint64) error {
+// WriteHist renders this collector's histogram artifact.
+func (c *Collector) WriteHist(w io.Writer) error {
+	if c == nil {
+		return nil
+	}
 	doc := histDoc{
-		Schema: HistSchema, Seed: seed, Shards: len(cs), ShardExecuted: exec,
+		Schema: HistSchema, Seed: c.seed,
 		DelayNs: []classHist{}, QueueDepth: []linkHist{},
 	}
-	if len(cs) == 0 || !cs[0].Enabled() {
-		return json.NewEncoder(w).Encode(doc)
-	}
-	for class, name := range cs[0].classes {
-		var merged stats.LogHist
-		for _, c := range cs {
-			if class < len(c.delayH) {
-				merged.Merge(c.delayH[class])
-			}
+	if c.Enabled() {
+		for class, name := range c.classes {
+			h := &c.delayH[class]
+			doc.DelayNs = append(doc.DelayNs, classHist{
+				Class: name, N: h.N(), MeanNs: h.Mean(),
+				P50Ns: h.Quantile(0.50), P90Ns: h.Quantile(0.90),
+				P99Ns: h.Quantile(0.99), Buckets: buckets(h),
+			})
 		}
-		doc.DelayNs = append(doc.DelayNs, classHist{
-			Class: name, N: merged.N(), MeanNs: merged.Mean(),
-			P50Ns: merged.Quantile(0.50), P90Ns: merged.Quantile(0.90),
-			P99Ns: merged.Quantile(0.99), Buckets: buckets(&merged),
-		})
-	}
-	for shard, c := range cs {
-		doc.Decisions.Admitted += c.dec.Admitted
-		doc.Decisions.Rejected += c.dec.Rejected
-		doc.TraceDropped += c.TraceDropped()
+		doc.Decisions = c.dec
+		doc.TraceDropped = c.TraceDropped()
 		for link := range c.links {
 			h := &c.depth[link]
 			doc.QueueDepth = append(doc.QueueDepth, linkHist{
-				Link: c.links[link], Shard: shard, N: h.N(), Mean: h.Mean(),
+				Link: c.links[link], N: h.N(), Mean: h.Mean(),
 				P99: h.Quantile(0.99), Buckets: buckets(h),
 			})
 		}
 	}
 	return json.NewEncoder(w).Encode(doc)
-}
-
-// WriteHist renders this collector's histogram artifact (a serial run:
-// one shard, no per-shard event counts).
-func (c *Collector) WriteHist(w io.Writer) error {
-	if c == nil {
-		return nil
-	}
-	return writeHist(w, []*Collector{c}, c.seed, nil)
 }

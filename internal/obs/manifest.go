@@ -11,10 +11,8 @@ import (
 )
 
 // ManifestSchema versions the manifest layout for downstream tooling.
-// v2 adds shard-awareness: `shards` (the resolved shard count) and
-// `shard_executed` (per-shard executed-event counts keyed by seed), plus
-// the cache snapshot's `bypassed` note. v1 manifests remain readable —
-// the new fields are additive and omitted when empty.
+// v2 adds the cache snapshot's `bypassed` note. v1 manifests remain
+// readable — the field is additive and omitted when empty.
 const ManifestSchema = "eac/obs/manifest/v2"
 
 // Manifest is the per-invocation run record written next to result CSVs,
@@ -30,11 +28,6 @@ type Manifest struct {
 
 	// Workers is the resolved worker-pool size of the run.
 	Workers int `json:"workers,omitempty"`
-	// Shards is the resolved intra-run shard count (0 or 1 = serial).
-	Shards int `json:"shards,omitempty"`
-	// ShardExecuted records per-shard executed-event counts of sharded
-	// runs, keyed by "s<seed>"; the slice is indexed by shard.
-	ShardExecuted map[string][]uint64 `json:"shard_executed,omitempty"`
 	// Seeds lists every seed simulated.
 	Seeds []uint64 `json:"seeds,omitempty"`
 	// WallSeconds is the invocation's wall-clock duration.

@@ -192,9 +192,8 @@ type Decisions struct {
 }
 
 // Collector gathers one run's telemetry. It is strictly single-run,
-// single-goroutine state — parallel seed runs each construct their own,
-// and sharded runs construct one per shard domain (see Merged) — and a
-// nil *Collector is the canonical "disabled" value.
+// single-goroutine state — parallel seed runs each construct their own —
+// and a nil *Collector is the canonical "disabled" value.
 type Collector struct {
 	cfg     Config
 	seed    uint64
@@ -205,7 +204,7 @@ type Collector struct {
 	dec     Decisions
 	dur     sim.Time // run duration; clamps open spans in exports
 
-	// Log-bucket distributions (stats.LogHist: mergeable across shards).
+	// Log-bucket distributions (stats.LogHist: mergeable across seeds).
 	delayH []stats.LogHist // per class: end-to-end data-packet delay, ns
 	depth  []stats.LogHist // per link: queue occupancy after each accepted enqueue
 
@@ -496,11 +495,4 @@ func (t *LinkTap) Drop(now sim.Time, flow int, kind uint8, size int, seq int64, 
 // Mark records a virtual-queue ECN mark applied to a packet.
 func (t *LinkTap) Mark(now sim.Time, flow int, kind uint8, size int, seq int64, depth int) {
 	t.record(now, evMark, flow, kind, size, seq, depth)
-}
-
-// Handoff records a packet leaving this shard across a boundary link
-// (sharded runs only: transmission finished, the packet now belongs to
-// the neighbouring shard's portal).
-func (t *LinkTap) Handoff(now sim.Time, flow int, kind uint8, size int, seq int64) {
-	t.record(now, evHandoff, flow, kind, size, seq, 0)
 }

@@ -225,17 +225,15 @@ func TestArtifactPathOverrides(t *testing.T) {
 	}
 }
 
-// TestManifestV2ShardFields pins the v2 schema additions: shard count,
-// per-seed per-shard executed counts, and the cache snapshot's bypassed
-// note — the manifest must say the artifacts could not have come from a
-// cache while observability forces a bypass.
-func TestManifestV2ShardFields(t *testing.T) {
+// TestManifestV2CacheBypassed pins the v2 schema addition, the cache
+// snapshot's bypassed note — the manifest must say the artifacts could not
+// have come from a cache while observability forces a bypass — and that a
+// manifest without a cache snapshot omits it (v1 compatibility).
+func TestManifestV2CacheBypassed(t *testing.T) {
 	if ManifestSchema != "eac/obs/manifest/v2" {
 		t.Fatalf("schema = %q; bump this pin only with a layout change", ManifestSchema)
 	}
 	m := NewManifest()
-	m.Shards = 2
-	m.ShardExecuted = map[string][]uint64{"s1": {100, 200}}
 	m.Cache = &cache.Snapshot{Dir: "/c", Bypassed: "obs active"}
 	path := filepath.Join(t.TempDir(), "m.json")
 	if err := m.Write(path); err != nil {
@@ -245,30 +243,22 @@ func TestManifestV2ShardFields(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{
-		`"shards": 2`,
-		`"shard_executed"`,
-		`"bypassed": "obs active"`,
-	} {
-		if !strings.Contains(string(b), want) {
-			t.Fatalf("manifest JSON missing %s:\n%s", want, b)
-		}
+	if !strings.Contains(string(b), `"bypassed": "obs active"`) {
+		t.Fatalf("manifest JSON missing the bypassed note:\n%s", b)
 	}
 	got, err := ReadManifest(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Shards != 2 || got.ShardExecuted["s1"][1] != 200 || got.Cache.Bypassed != "obs active" {
+	if got.Cache.Bypassed != "obs active" {
 		t.Fatalf("round trip = %+v", got)
 	}
-	// Serial manifests omit the shard fields entirely (v1 compatibility).
 	m2 := NewManifest()
 	if err := m2.Write(path); err != nil {
 		t.Fatal(err)
 	}
-	if b, _ = os.ReadFile(path); strings.Contains(string(b), "shard") ||
-		strings.Contains(string(b), "bypassed") {
-		t.Fatalf("serial manifest leaked shard/bypass fields:\n%s", b)
+	if b, _ = os.ReadFile(path); strings.Contains(string(b), "bypassed") {
+		t.Fatalf("manifest without a cache leaked the bypassed field:\n%s", b)
 	}
 }
 
@@ -294,5 +284,56 @@ func TestManifestRoundTrip(t *testing.T) {
 	if got.Schema != m.Schema || got.Workers != 4 || len(got.Seeds) != 2 ||
 		got.Config["method"] != "eac" || got.Artifacts[0] != "a.csv" {
 		t.Fatalf("round trip = %+v", got)
+	}
+}
+
+// TestWriteHistDocument pins the histogram artifact: header, per-class
+// delay distribution with its exact mean, per-link depth distribution,
+// and the decision counts.
+func TestWriteHistDocument(t *testing.T) {
+	c := New(Config{Enabled: true}, 7)
+	c.RegisterClass("voice")
+	tap := c.RegisterLink("L0")
+	c.Delay(0, 10*sim.Millisecond)
+	c.Delay(0, 20*sim.Millisecond)
+	c.Delay(0, 40*sim.Millisecond)
+	tap.Enqueue(0, 1, 0, 125, 0, 3)
+	c.Decision(0, 1, 0, true, 1, 0)
+	var b strings.Builder
+	if err := c.WriteHist(&b); err != nil {
+		t.Fatal(err)
+	}
+	var doc struct {
+		Schema    string    `json:"schema"`
+		Seed      uint64    `json:"seed"`
+		Decisions Decisions `json:"decisions"`
+		DelayNs   []struct {
+			Class  string  `json:"class"`
+			N      int64   `json:"n"`
+			MeanNs float64 `json:"mean_ns"`
+		} `json:"delay_ns"`
+		QueueDepth []struct {
+			Link string `json:"link"`
+			N    int64  `json:"n"`
+			P99  int64  `json:"p99"`
+		} `json:"queue_depth"`
+	}
+	if err := json.Unmarshal([]byte(b.String()), &doc); err != nil {
+		t.Fatal(err)
+	}
+	if doc.Schema != HistSchema || doc.Seed != 7 || doc.Decisions.Admitted != 1 {
+		t.Fatalf("hist header = %+v", doc)
+	}
+	if strings.Contains(b.String(), "shard") {
+		t.Fatalf("hist document still carries v1 shard fields: %s", b.String())
+	}
+	if len(doc.DelayNs) != 1 || doc.DelayNs[0].Class != "voice" || doc.DelayNs[0].N != 3 {
+		t.Fatalf("delay_ns = %+v, want one class with n=3", doc.DelayNs)
+	}
+	if want := float64(70*sim.Millisecond) / 3; doc.DelayNs[0].MeanNs != want {
+		t.Fatalf("mean = %v, want %v", doc.DelayNs[0].MeanNs, want)
+	}
+	if len(doc.QueueDepth) != 1 || doc.QueueDepth[0].Link != "L0" || doc.QueueDepth[0].N != 1 || doc.QueueDepth[0].P99 != 3 {
+		t.Fatalf("queue_depth = %+v, want one L0 entry with one depth-3 sample", doc.QueueDepth)
 	}
 }

@@ -2,7 +2,6 @@ package obs
 
 import (
 	"encoding/json"
-	"fmt"
 	"io"
 
 	"eac/internal/sim"
@@ -104,12 +103,6 @@ type spanEvent struct {
 	DataEnd    float64 `json:"data_end"`
 }
 
-// shardSpanEvent is spanEvent plus the owning shard (merged output).
-type shardSpanEvent struct {
-	spanEvent
-	Shard int `json:"shard"`
-}
-
 func sec(t sim.Time) float64 {
 	if t < 0 {
 		return -1
@@ -165,17 +158,16 @@ type perfettoEvent struct {
 
 func usec(t sim.Time) float64 { return t.Sec() * 1e6 }
 
-// appendPerfetto converts one collector's spans into trace events for
-// shard `shard`, clamping phases still open at run end to the run
-// duration. Tracks are pid = shard, tid = flow.
-func (c *Collector) appendPerfetto(evs []perfettoEvent, shard int) []perfettoEvent {
+// perfettoEvents converts the spans into trace events, clamping phases
+// still open at run end to the run duration. Tracks are pid 0, tid = flow.
+func (c *Collector) perfettoEvents() []perfettoEvent {
 	if c == nil || len(c.spans) == 0 {
-		return evs
+		return nil
 	}
-	evs = append(evs, perfettoEvent{
-		Name: "process_name", Ph: "M", Pid: shard,
-		Args: map[string]any{"name": fmt.Sprintf("shard %d", shard)},
-	})
+	evs := []perfettoEvent{{
+		Name: "process_name", Ph: "M",
+		Args: map[string]any{"name": "run"},
+	}}
 	clamp := func(t sim.Time) sim.Time {
 		if t < 0 || (c.dur > 0 && t > c.dur) {
 			return c.dur
@@ -200,7 +192,7 @@ func (c *Collector) appendPerfetto(evs []perfettoEvent, shard int) []perfettoEve
 			evs = append(evs, perfettoEvent{
 				Name: name, Cat: "admission", Ph: "X",
 				Ts: usec(s.probeStart), Dur: usec(end - s.probeStart),
-				Pid: shard, Tid: s.flow,
+				Tid: s.flow,
 				Args: map[string]any{
 					"class": class, "attempts": s.attempts,
 					"frac": float64(s.frac), "accepted": s.decided && s.accepted,
@@ -215,7 +207,7 @@ func (c *Collector) appendPerfetto(evs []perfettoEvent, shard int) []perfettoEve
 			evs = append(evs, perfettoEvent{
 				Name: "data", Cat: "lifetime", Ph: "X",
 				Ts: usec(s.dataStart), Dur: usec(end - s.dataStart),
-				Pid: shard, Tid: s.flow,
+				Tid:  s.flow,
 				Args: map[string]any{"class": class},
 			})
 		}
@@ -223,18 +215,13 @@ func (c *Collector) appendPerfetto(evs []perfettoEvent, shard int) []perfettoEve
 	return evs
 }
 
-func writePerfetto(w io.Writer, evs []perfettoEvent) error {
+// WritePerfetto renders the spans as Chrome/Perfetto trace-event JSON
+// (one process, one track per flow; probe and data phases as duration
+// events).
+func (c *Collector) WritePerfetto(w io.Writer) error {
 	doc := struct {
 		TraceEvents     []perfettoEvent `json:"traceEvents"`
 		DisplayTimeUnit string          `json:"displayTimeUnit"`
-	}{TraceEvents: evs, DisplayTimeUnit: "ms"}
-	enc := json.NewEncoder(w)
-	return enc.Encode(doc)
-}
-
-// WritePerfetto renders the spans as Chrome/Perfetto trace-event JSON
-// (one process per shard — a serial run is shard 0 — one track per
-// flow; probe and data phases as duration events).
-func (c *Collector) WritePerfetto(w io.Writer) error {
-	return writePerfetto(w, c.appendPerfetto(nil, 0))
+	}{TraceEvents: c.perfettoEvents(), DisplayTimeUnit: "ms"}
+	return json.NewEncoder(w).Encode(doc)
 }

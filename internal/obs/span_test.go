@@ -98,7 +98,7 @@ func TestSpanDisabledCollectorRecordsNothing(t *testing.T) {
 
 // TestPerfettoClampsOpenPhases: a flow still probing (or still sending)
 // at run end gets a span clamped to the run duration, never a negative
-// duration.
+// duration. The trace opens with one process, pid 0, named "run".
 func TestPerfettoClampsOpenPhases(t *testing.T) {
 	c := spanCollector()
 	c.SpanProbeStart(95*sim.Second, 0, 0) // undecided at run end
@@ -112,6 +112,10 @@ func TestPerfettoClampsOpenPhases(t *testing.T) {
 	}
 	if err := json.Unmarshal([]byte(b.String()), &doc); err != nil {
 		t.Fatal(err)
+	}
+	if len(doc.TraceEvents) == 0 || doc.TraceEvents[0].Name != "process_name" ||
+		doc.TraceEvents[0].Pid != 0 || doc.TraceEvents[0].Args["name"] != "run" {
+		t.Fatalf("first event = %+v, want the process_name metadata naming pid 0 \"run\"", doc.TraceEvents)
 	}
 	var x int
 	for _, ev := range doc.TraceEvents {

@@ -15,11 +15,6 @@ const (
 	evMark
 	evAdmit
 	evReject
-	// evHandoff records a packet crossing a shard boundary: transmission
-	// on a boundary link finished and the packet was handed to the
-	// neighbouring shard's portal. Serial runs never emit it. New kinds
-	// must be appended here — the order is serialized in JSONL output.
-	evHandoff
 	// evEpoch records one completed adaptation epoch of the
 	// epoch-adaptive admission policy: the ε and probe duration now in
 	// force plus the epoch's rejection and loss rates. Static-policy runs
@@ -32,7 +27,7 @@ const (
 	evArrival
 )
 
-var evNames = [...]string{"enqueue", "dequeue", "drop", "mark", "admit", "reject", "handoff", "epoch", "arrival"}
+var evNames = [...]string{"enqueue", "dequeue", "drop", "mark", "admit", "reject", "epoch", "arrival"}
 
 // traceRec is the compact in-ring representation of one event. Packet
 // events use link/kind/a(size)/b(seq)/depth; admission decisions use

@@ -98,22 +98,3 @@ func TestRingWriteAfterMultipleWraps(t *testing.T) {
 		}
 	}
 }
-
-// TestRingHandoffEvent pins the evHandoff serialization added for shard
-// boundaries: a distinct "handoff" ev name on an ordinary packet event.
-func TestRingHandoffEvent(t *testing.T) {
-	c := New(Config{Enabled: true, TraceCapacity: 4}, 1)
-	tap := c.RegisterLink("L0")
-	tap.Handoff(sim.Second, 3, 1, 576, 9)
-	var b strings.Builder
-	if err := c.WriteTrace(&b); err != nil {
-		t.Fatal(err)
-	}
-	var ev packetEvent
-	if err := json.Unmarshal([]byte(strings.TrimSpace(b.String())), &ev); err != nil {
-		t.Fatal(err)
-	}
-	if ev.Ev != "handoff" || ev.Flow != 3 || ev.Kind != "probe" || ev.Size != 576 || ev.Seq != 9 {
-		t.Fatalf("handoff event = %+v", ev)
-	}
-}

@@ -264,24 +264,12 @@ type Config struct {
 	// artifacts the caller asked for.
 	Cache *cache.Store
 
-	// Shards, if 2 or more, partitions the topology by link into that many
-	// shard domains and runs them concurrently under the conservative
-	// windowed executor (internal/sim/shard), using boundary-link
-	// propagation delay as lookahead. The count is clamped to the number
-	// of links; 0 or 1 selects the serial path, which remains
-	// byte-identical to previous releases. Sharded runs are deterministic
-	// for a fixed shard count but only statistically equivalent to the
-	// serial path (the per-shard arrival processes are independent
-	// thinnings of the aggregate process); see DESIGN.md §4e. Requires
-	// Method EAC or None and inactive Obs.
-	Shards int
-
 	// Hybrid, when enabled, carries the configured background classes'
 	// data phases as per-link fluid rates instead of packets (the hybrid
 	// fluid/packet engine; see HybridConfig). Disabled by default — the
 	// zero value leaves the packet path byte-identical. Requires Method
 	// EAC or None (MBAC and Passive measure data packets the fluid no
-	// longer sends) and the serial path (no sharding).
+	// longer sends).
 	Hybrid HybridConfig
 
 	// PrepopulateUtil, if positive, seeds the simulation at time zero
@@ -296,10 +284,15 @@ type Config struct {
 	Seed uint64
 }
 
-// WithDefaults returns the config with paper defaults filled in.
+// WithDefaults returns the config with paper defaults filled in. The
+// Classes and Links slices are copied before their elements are filled, so
+// the caller's config is never modified and concurrent runs may resolve
+// one shared config.
 func (c Config) WithDefaults() Config {
 	if len(c.Classes) == 0 {
 		c.Classes = []ClassSpec{{Name: "EXP1", Preset: trafgen.EXP1, Weight: 1, Eps: -1}}
+	} else {
+		c.Classes = append([]ClassSpec(nil), c.Classes...)
 	}
 	for i := range c.Classes {
 		if c.Classes[i].Weight == 0 {
@@ -311,6 +304,8 @@ func (c Config) WithDefaults() Config {
 	}
 	if len(c.Links) == 0 {
 		c.Links = []LinkSpec{{}}
+	} else {
+		c.Links = append([]LinkSpec(nil), c.Links...)
 	}
 	for i := range c.Links {
 		if c.Links[i].RateBps == 0 {
@@ -432,20 +427,6 @@ func (c Config) Validate() error {
 			if ci < 0 || ci >= len(c.Classes) {
 				return fmt.Errorf("scenario: hybrid background references class %d of %d", ci, len(c.Classes))
 			}
-		}
-		if c.Shards >= 2 {
-			return fmt.Errorf("scenario: hybrid engine runs on the serial path (fluid link state is not shard-local)")
-		}
-	}
-	if c.Shards < 0 {
-		return fmt.Errorf("scenario: negative shard count")
-	}
-	if k := effectiveShards(c); k > 1 {
-		if c.Method != EAC && c.Method != None {
-			return fmt.Errorf("scenario: sharding requires method EAC or none (%s reads router state across shards)", c.Method)
-		}
-		if _, err := planShards(&c, k); err != nil {
-			return err
 		}
 	}
 	return nil

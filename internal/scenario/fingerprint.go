@@ -15,7 +15,9 @@ import (
 // would keep serving the old numbers.
 // v2: Metrics gained MeanEps (threshold-in-force accounting); cached v1
 // entries would decode with MeanEps=0 and silently misreport adaptive runs.
-const ResultsVersion = "eac/results/v2"
+// v3: the sharded executor was removed and the fingerprint lost its
+// shards= line, so every key changed.
+const ResultsVersion = "eac/results/v3"
 
 // Fingerprint returns the content address of this configuration's results:
 // a hex SHA-256 over ResultsVersion plus a canonical encoding of every
@@ -37,10 +39,6 @@ func (c Config) Fingerprint() string {
 	w := func(format string, args ...any) { fmt.Fprintf(h, format, args...) }
 	w("v=%s\n", ResultsVersion)
 	w("seed=%d method=%d queue=%d\n", c.Seed, c.Method, c.Queue)
-	// The effective (clamped) shard count, not the raw field: Shards=0,
-	// Shards=1, and any value that clamps down to 1 all run the identical
-	// serial path and must share a cache entry.
-	w("shards=%d\n", effectiveShards(c))
 	w("tau=%g life=%g vq=%g prepop=%g\n",
 		c.InterArrival, c.LifetimeSec, c.VQFactor, c.PrepopulateUtil)
 	w("dur=%d warm=%d drain=%d\n", int64(c.Duration), int64(c.Warmup), int64(c.Drain))

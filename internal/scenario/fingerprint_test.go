@@ -137,13 +137,7 @@ func TestFingerprintSensitivity(t *testing.T) {
 			c.Links = []LinkSpec{{}, {}}
 			c.Classes = []ClassSpec{{Preset: trafgen.EXP1, Eps: -1, Path: []int{0, 1}}}
 		},
-		"Links.Count": func(c *Config) { c.Links = []LinkSpec{{}, {}} },
-		// Differs from Links.Count only in the effective shard count, so
-		// their distinctness pins the shards line of the fingerprint.
-		"Shards": func(c *Config) {
-			c.Links = []LinkSpec{{}, {}}
-			c.Shards = 2
-		},
+		"Links.Count":    func(c *Config) { c.Links = []LinkSpec{{}, {}} },
 		"Hybrid.Enabled": func(c *Config) { c.Hybrid.Enabled = true },
 		"Hybrid.Background": func(c *Config) {
 			c.Hybrid = HybridConfig{Enabled: true, Background: []int{0}}
@@ -178,7 +172,7 @@ func TestFingerprintCoversConfig(t *testing.T) {
 			"LifetimeSec", "Load", "Schedule", "Replay", "Method", "AC", "MS", "PV", "Policy",
 			"Queue", "VQFactor",
 			"Duration", "Warmup", "Drain", "MaxRetries", "RetryBackoffSec",
-			"Obs", "Cache", "Shards", "Hybrid", "PrepopulateUtil", "Seed"},
+			"Obs", "Cache", "Hybrid", "PrepopulateUtil", "Seed"},
 		reflect.TypeOf(ClassSpec{}):        {"Name", "Preset", "Weight", "Eps", "Path"},
 		reflect.TypeOf(LinkSpec{}):         {"RateBps", "Delay", "BufferPkts"},
 		reflect.TypeOf(LoadSpec{}):         {"PeriodSec", "OnFraction", "OnFactor", "OffFactor"},

@@ -77,7 +77,7 @@ func (r *Runner) setupHybrid() {
 		bg := netsim.NewFluidBackground(l, model, r.cfg.Links[i].BufferPkts, r.rngBg)
 		bg.MaxShare = r.cfg.Hybrid.MaxShare
 		if r.cfg.Method == EAC {
-			// Mirror attachMarker: marking designs get the analytic mark
+			// Mirror wireLink: marking designs get the analytic mark
 			// signal at the shadow queue's service fraction; virtual
 			// dropping folds a probe's mark fate into a drop.
 			switch r.cfg.AC.Design.Signal {

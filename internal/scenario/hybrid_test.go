@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"eac/internal/admission"
-	"eac/internal/sim"
 	"eac/internal/trafgen"
 )
 
@@ -127,10 +126,6 @@ func TestHybridValidate(t *testing.T) {
 		{"passive", func(c *Config) { c.Method = Passive }, "requires method"},
 		{"share", func(c *Config) { c.Hybrid.MaxShare = 1.5 }, "MaxShare"},
 		{"class", func(c *Config) { c.Hybrid.Background = []int{3} }, "class"},
-		{"shards", func(c *Config) {
-			c.Links = []LinkSpec{{}, {}}
-			c.Shards = 2
-		}, "serial"},
 	}
 	for _, tc := range cases {
 		c := hybridCfg(1)
@@ -142,27 +137,5 @@ func TestHybridValidate(t *testing.T) {
 	}
 	if err := hybridCfg(1).WithDefaults().Validate(); err != nil {
 		t.Errorf("valid hybrid config rejected: %v", err)
-	}
-}
-
-// TestHybridShardClamp pins that an enabled hybrid engine forces the
-// serial execution path even for shardable topologies.
-func TestHybridShardClamp(t *testing.T) {
-	c := hybridCfg(1)
-	c.Links = []LinkSpec{
-		{RateBps: 1e6, Delay: 10 * sim.Millisecond, BufferPkts: 20},
-		{RateBps: 1e6, Delay: 10 * sim.Millisecond, BufferPkts: 20},
-	}
-	c.Classes = []ClassSpec{
-		{Preset: trafgen.EXP1, Eps: -1, Path: []int{0}},
-		{Preset: trafgen.EXP1, Eps: -1, Path: []int{1}},
-	}
-	c = c.WithDefaults()
-	if k := ShardableK(c, 2); k != 1 {
-		t.Fatalf("ShardableK = %d with hybrid enabled, want 1", k)
-	}
-	c.Hybrid = HybridConfig{}
-	if k := ShardableK(c, 2); k < 2 {
-		t.Fatalf("ShardableK = %d without hybrid, want >= 2 (test topology must be shardable)", k)
 	}
 }

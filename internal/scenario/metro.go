@@ -44,10 +44,9 @@ func (o MetroStarOptions) withDefaults() MetroStarOptions {
 // 0.9 load — inside the admission-controlled operating region — and
 // arrivals sustain that population against the 300 s mean lifetime.
 //
-// The topology exists to exercise the sharded executor at scale: every
-// link has a ≥2 ms propagation delay (the conservative lookahead floor),
-// and the chain structure gives a contiguous link partition real
-// cross-shard traffic in both directions. Duration and Warmup are left at
+// The topology exercises the simulator at scale: a deep pending-event set
+// and multi-hop forwarding in both directions along every chain, with a
+// ≥2 ms propagation delay on every link. Duration and Warmup are left at
 // the paper defaults; benchmarks and experiments override them.
 func MetroStar(opts MetroStarOptions) Config {
 	o := opts.withDefaults()

@@ -143,32 +143,6 @@ func TestExtendCapBoundsReprobing(t *testing.T) {
 	}
 }
 
-// TestEpochAdaptiveShardRaceSmoke runs the adaptive policy on the sharded
-// path; `go test -race` makes it a data-race smoke test of the per-shard
-// policy instances (CI runs it so). It also checks shard determinism.
-func TestEpochAdaptiveShardRaceSmoke(t *testing.T) {
-	cfg := shardChainConfig(4)
-	cfg.Duration = 12 * sim.Second
-	cfg.Warmup = 3 * sim.Second
-	cfg.Shards = 4
-	cfg.AC = admission.Config{Design: admission.DropInBand, Kind: admission.SlowStart, Eps: 0.02}
-	cfg.Policy = admission.PolicyConfig{Kind: admission.PolicyEpochAdaptive, Epoch: 5}
-	a, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(a, b) {
-		t.Fatalf("sharded adaptive run is nondeterministic:\n%+v\n%+v", a, b)
-	}
-	if a.Decided == 0 {
-		t.Fatal("no admission decisions on the sharded path")
-	}
-}
-
 // onOffCfg is the nonstationary scenario of the pinned adaptation test:
 // EXP1 on the basic single link, arrivals doubled for half of each period
 // and silent otherwise, with a deliberately loose static ε — the

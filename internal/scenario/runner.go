@@ -82,9 +82,7 @@ type Runner struct {
 	// previous run's phase position (TestWorkspaceLoadByteIdentical).
 	schedCur schedCursor
 	// replay / replayIdx drive trace-replay arrivals: replayIdx is the
-	// next recorded arrival to schedule. Sharded runners skip entries for
-	// classes owned by other shards, which partitions the recorded
-	// aggregate exactly as class ownership partitions the live process.
+	// next recorded arrival to schedule.
 	replay    *ReplayTrace
 	replayIdx int
 	// epsSum / epsN accumulate the admission threshold in force for each
@@ -102,17 +100,8 @@ type Runner struct {
 	decided          int64
 	retries          int64
 
-	// meanIA is the mean flow inter-arrival time fed to the arrival
-	// process: Config.InterArrival on the serial path, scaled up by the
-	// shard's share of the class weights on the sharded path (thinning a
-	// Poisson process splits it into independent Poisson processes).
-	meanIA float64
-	// slot is non-nil when this runner drives one shard of a partitioned
-	// topology (see shard.go). Serial runners leave it nil.
-	slot *shardSlot
-
 	// hyb is non-nil when the hybrid fluid/packet engine is enabled
-	// (Config.Hybrid); see hybrid.go. Hybrid runs are serial-only.
+	// (Config.Hybrid); see hybrid.go.
 	hyb *hybridState
 
 	// Observability (nil/inert by default; see Config.Obs and Observe).
@@ -151,7 +140,6 @@ func newRunner(cfg Config) *Runner {
 	r.arrEv = sim.NewEvent(r.onFlowArrival)
 	r.winStart = cfg.Warmup
 	r.winEnd = cfg.Duration - cfg.Drain
-	r.meanIA = cfg.InterArrival
 	r.setupLoad()
 
 	maxPkt := maxPktSize(cfg)
@@ -169,16 +157,15 @@ func newRunner(cfg Config) *Runner {
 		r.Observe(obs.New(cfg.Obs, cfg.Seed))
 	}
 	if cfg.Method == EAC {
-		r.policy = r.buildPolicy(r.links)
+		r.policy = r.buildPolicy()
 	}
 	return r
 }
 
 // setupLoad reinitializes the workload state for a (re)run: the thinning
 // peak of an active modulation, the schedule's phase cursor, and the
-// replay stream position. Called by newRunner, newShardRunner, and both
-// reset paths, so a recycled runner starts every workload byte-identically
-// to a fresh one.
+// replay stream position. Called by newRunner and reset, so a recycled
+// runner starts every workload byte-identically to a fresh one.
 func (r *Runner) setupLoad() {
 	r.loadMaxF = 0
 	r.schedCur = schedCursor{}
@@ -197,8 +184,7 @@ func (r *Runner) setupLoad() {
 // loadFactor returns the arrival-rate scale in force at now (an active
 // Schedule's phase value, else the square wave of Config.Load; only
 // called while modulation is active). The phase clock is absolute
-// simulated time, so every shard of a sharded run evaluates the same
-// factor at the same instant.
+// simulated time.
 func (r *Runner) loadFactor(now sim.Time) float64 {
 	if r.cfg.Schedule.Active() {
 		return r.cfg.Schedule.factorAt(now.Sec(), &r.schedCur)
@@ -211,21 +197,14 @@ func (r *Runner) loadFactor(now sim.Time) float64 {
 }
 
 // buildPolicy constructs the run's admission policy and wires its
-// environment: a sharded run's token bucket is scaled to the shard's
-// owned weight share (so the aggregate admission rate matches serial),
-// and the adaptive policy reads post-admission loss from the given links
-// — the shard-owned subset on the sharded path — and reports epochs to
-// the run's collector. Requires links built; Method EAC only.
-func (r *Runner) buildPolicy(links []*netsim.Link) admission.Policy {
+// environment: the adaptive policy reads post-admission loss from the
+// runner's links and reports epochs to the run's collector. Requires links
+// built; Method EAC only.
+func (r *Runner) buildPolicy() admission.Policy {
 	p := admission.NewPolicy(r.cfg.Policy, r.cfg.AC)
-	switch pol := p.(type) {
-	case *admission.TokenBucket:
-		if r.slot != nil && r.slot.totalW > 0 {
-			pol.Scale(r.slot.ownedW / r.slot.totalW)
-		}
-	case *admission.EpochAdaptive:
+	if pol, ok := p.(*admission.EpochAdaptive); ok {
 		pol.SetLossSignal(func() (arrived, dropped int64) {
-			for _, l := range links {
+			for _, l := range r.links {
 				arrived += l.Stats.Arrived[netsim.Data]
 				dropped += l.Stats.Dropped[netsim.Data]
 			}
@@ -249,36 +228,15 @@ func maxPktSize(cfg Config) int {
 	return maxPkt
 }
 
-// newDiscipline builds the queue discipline for link i per cfg.Queue. It is
-// a free function because both the serial runner and the sharded executor
-// build links.
-func newDiscipline(cfg *Config, i int, ls LinkSpec, maxPkt int) netsim.Discipline {
-	switch cfg.Queue {
+// newDiscipline builds the queue discipline for link i per Config.Queue.
+func (r *Runner) newDiscipline(i int, ls LinkSpec, maxPkt int) netsim.Discipline {
+	switch r.cfg.Queue {
 	case QueueRED:
 		return netsim.NewRED(ls.BufferPkts, netsim.REDConfig{
 			MeanPktTime: sim.Time(float64(maxPkt*8) / ls.RateBps * float64(sim.Second)),
-		}, stats.NewStream(cfg.Seed, fmt.Sprintf("red-%d", i)))
+		}, stats.NewStream(r.cfg.Seed, fmt.Sprintf("red-%d", i)))
 	default:
 		return netsim.NewPriorityPushout(ls.BufferPkts)
-	}
-}
-
-func (r *Runner) newDiscipline(i int, ls LinkSpec, maxPkt int) netsim.Discipline {
-	return newDiscipline(&r.cfg, i, ls, maxPkt)
-}
-
-// attachMarker installs the EAC marking shadow queue on a link, when the
-// configured design uses one. Shared by the serial and sharded wiring.
-func attachMarker(cfg *Config, l *netsim.Link, ls LinkSpec, maxPkt int) {
-	if cfg.Method != EAC {
-		return
-	}
-	switch cfg.AC.Design.Signal {
-	case admission.Mark:
-		l.Marker = netsim.NewVirtualQueue(cfg.VQFactor*ls.RateBps, int64(ls.BufferPkts*maxPkt))
-	case admission.VDrop:
-		l.Marker = netsim.NewVirtualQueue(cfg.VQFactor*ls.RateBps, int64(ls.BufferPkts*maxPkt))
-		l.VQDropProbes = true
 	}
 }
 
@@ -289,7 +247,16 @@ func attachMarker(cfg *Config, l *netsim.Link, ls LinkSpec, maxPkt int) {
 func (r *Runner) wireLink(i, maxPkt int) {
 	cfg, ls, l := &r.cfg, r.cfg.Links[i], r.links[i]
 	l.OnDrop = r.onLinkDrop
-	attachMarker(cfg, l, ls, maxPkt)
+	if cfg.Method == EAC {
+		// The marking designs' shadow queue.
+		switch cfg.AC.Design.Signal {
+		case admission.Mark:
+			l.Marker = netsim.NewVirtualQueue(cfg.VQFactor*ls.RateBps, int64(ls.BufferPkts*maxPkt))
+		case admission.VDrop:
+			l.Marker = netsim.NewVirtualQueue(cfg.VQFactor*ls.RateBps, int64(ls.BufferPkts*maxPkt))
+			l.VQDropProbes = true
+		}
+	}
 	switch cfg.Method {
 	case MBAC:
 		m := mbac.New(ls.RateBps, cfg.MS)
@@ -333,7 +300,6 @@ func (r *Runner) reset(cfg Config) {
 	r.rngLoad.ReseedStream(cfg.Seed, "load")
 	r.winStart = cfg.Warmup
 	r.winEnd = cfg.Duration - cfg.Drain
-	r.meanIA = cfg.InterArrival
 	r.setupLoad()
 	r.ms = r.ms[:0]
 	r.monitors = r.monitors[:0]
@@ -373,7 +339,7 @@ func (r *Runner) reset(cfg Config) {
 	}
 	r.policy = nil
 	if cfg.Method == EAC {
-		r.policy = r.buildPolicy(r.links)
+		r.policy = r.buildPolicy()
 	}
 }
 
@@ -389,14 +355,8 @@ func (r *Runner) releaseFlows() {
 			f.prober.ForgetEvents()
 		}
 		f.stopEv.Forget()
-		route := f.route[:0]
-		if r.slot != nil {
-			// Sharded flows share the class route template; keeping an
-			// aliased slice across runs would invite appends into it.
-			route = nil
-		}
 		*f = flowState{
-			route:     route,
+			route:     f.route[:0],
 			stopEv:    f.stopEv,
 			prober:    f.prober,
 			probeDone: f.probeDone,
@@ -455,10 +415,6 @@ func (r *Runner) onLinkDrop(now sim.Time, p *netsim.Packet) {
 // NewRunner from Config.Obs; exposed so tests can inject a
 // constructed-but-disabled collector). Must be called before Run. A nil
 // or disabled collector leaves every hot path untouched.
-//
-// Sharded runs attach one collector per shard runner; their link taps
-// are wired by the shard executor (a shard runner owns no links — see
-// shardExec.wireObs), so the loop below is a no-op there.
 func (r *Runner) Observe(c *obs.Collector) {
 	r.obs = c
 	if !c.Enabled() {
@@ -489,26 +445,25 @@ func (r *Runner) Run() Metrics {
 			}
 		}
 	})
-	r.startObsSampling(r.links)
+	r.startObsSampling()
 	r.prepopulate()
 	r.scheduleNextArrival(0)
 	r.s.Run(r.cfg.Duration)
 	return r.metrics()
 }
 
-// startObsSampling schedules the periodic per-queue sampling event over
-// the given links — the runner's own on the serial path, the owning
-// shard's on the sharded path. The event only reads simulator state, so
-// enabling it does not perturb the simulated dynamics.
-func (r *Runner) startObsSampling(links []*netsim.Link) {
+// startObsSampling schedules the periodic per-queue sampling event. The
+// event only reads simulator state, so enabling it does not perturb the
+// simulated dynamics.
+func (r *Runner) startObsSampling() {
 	if !r.obs.Sampling() {
 		return
 	}
-	r.lastBits = make([]int64, len(links))
+	r.lastBits = make([]int64, len(r.links))
 	iv := r.obs.Interval()
 	var ev *sim.Event
 	ev = sim.NewEvent(func(now sim.Time) {
-		r.sampleObs(now, links)
+		r.sampleObs(now)
 		if now+iv <= r.cfg.Duration {
 			r.s.Schedule(ev, now+iv)
 		}
@@ -519,12 +474,10 @@ func (r *Runner) startObsSampling(links []*netsim.Link) {
 // sampleObs appends one time-series point per link: queue depth,
 // utilization over the elapsed interval, cumulative counters, shadow
 // backlog, and the active-flow count. The link index recorded in each
-// sample is the position in links, which matches the collector's
-// RegisterLink order (global on the serial path, per-shard on the
-// sharded path).
-func (r *Runner) sampleObs(now sim.Time, links []*netsim.Link) {
+// sample matches the collector's RegisterLink order.
+func (r *Runner) sampleObs(now sim.Time) {
 	dt := (now - r.lastSample).Sec()
-	for i, l := range links {
+	for i, l := range r.links {
 		bits := l.Stats.SentBits[netsim.Data]
 		if bits < r.lastBits[i] {
 			r.lastBits[i] = 0 // counters were reset at the warmup boundary
@@ -570,9 +523,6 @@ func (r *Runner) prepopulate() {
 	}
 	avg /= wsum
 	n := int(r.cfg.PrepopulateUtil*r.cfg.Links[0].RateBps/avg + 0.5)
-	if r.slot != nil {
-		n = r.slot.prepopShare(n)
-	}
 	for i := 0; i < n; i++ {
 		class := r.pickClass()
 		f := r.newFlow(class)
@@ -590,7 +540,7 @@ func (r *Runner) scheduleNextArrival(now sim.Time) {
 		r.scheduleNextReplay()
 		return
 	}
-	mean := r.meanIA
+	mean := r.cfg.InterArrival
 	if r.loadMaxF > 0 {
 		// Lewis–Shedler thinning: draw at the peak modulated rate;
 		// onFlowArrival keeps each arrival with probability
@@ -607,41 +557,27 @@ func (r *Runner) scheduleNextArrival(now sim.Time) {
 	r.s.Schedule(r.arrEv, at)
 }
 
-// scheduleNextReplay schedules the next recorded arrival this runner owns.
-// A sharded runner skips entries for classes owned by other shards; a
-// recorded time at or past the horizon ends the stream, mirroring the
-// live arrival process.
+// scheduleNextReplay schedules the next recorded arrival. A recorded time
+// at or past the horizon ends the stream, mirroring the live arrival
+// process.
 func (r *Runner) scheduleNextReplay() {
-	for r.replayIdx < len(r.replay.arrivals) {
-		a := r.replay.arrivals[r.replayIdx]
-		if r.slot != nil && r.slot.classW[a.Class] <= 0 {
-			r.replayIdx++
-			continue
-		}
-		if a.At >= r.cfg.Duration {
-			return
-		}
-		r.s.Schedule(r.arrEv, a.At)
+	if r.replayIdx >= len(r.replay.arrivals) {
 		return
+	}
+	if at := r.replay.arrivals[r.replayIdx].At; at < r.cfg.Duration {
+		r.s.Schedule(r.arrEv, at)
 	}
 }
 
-// pickClass samples a class index by weight. A sharded runner samples only
-// the classes its shard owns (slot.classW zeroes the rest), which together
-// with the thinned arrival rate reconstructs the serial scenario's
-// per-class Poisson arrival processes exactly in distribution.
+// pickClass samples a class index by weight.
 func (r *Runner) pickClass() int {
-	weight := func(i int) float64 { return r.cfg.Classes[i].Weight }
-	if r.slot != nil {
-		weight = func(i int) float64 { return r.slot.classW[i] }
-	}
 	total := 0.0
-	for i := range r.cfg.Classes {
-		total += weight(i)
+	for _, cl := range r.cfg.Classes {
+		total += cl.Weight
 	}
 	x := r.rngPick.Float64() * total
-	for i := range r.cfg.Classes {
-		x -= weight(i)
+	for i, cl := range r.cfg.Classes {
+		x -= cl.Weight
 		if x < 0 {
 			return i
 		}
@@ -660,14 +596,8 @@ func (r *Runner) path(class int) []int {
 
 // buildRoute assembles a flow's packet route for its class: the congested
 // links of the class path terminating at the shared sink (the runner
-// itself). Sharded runners instead share the per-class route template,
-// which splices portal hops at shard boundaries (see shard.go); templates
-// are immutable for the duration of a run, so sharing is safe.
+// itself).
 func (r *Runner) buildRoute(f *flowState, class int) {
-	if r.slot != nil {
-		f.route = r.slot.tmpl[class]
-		return
-	}
 	for _, li := range r.path(class) {
 		f.route = append(f.route, r.links[li])
 	}
@@ -983,26 +913,22 @@ func (r *Runner) metrics() Metrics {
 	return m
 }
 
-// delayPercentile reads the q-quantile from a millisecond histogram (upper
-// bucket edge, so the estimate is conservative). Free function so the
-// shard-merge path can apply it to a summed histogram.
-func delayPercentile(hist *[1001]int64, total int64, q float64) float64 {
+// delayPercentile reads the q-quantile from the millisecond delay
+// histogram (upper bucket edge, so the estimate is conservative).
+func (r *Runner) delayPercentile(q float64) float64 {
+	total := r.delayStats.N()
 	if total == 0 {
 		return 0
 	}
 	target := int64(q * float64(total))
 	var cum int64
-	for ms, c := range hist {
+	for ms, c := range &r.delayHist {
 		cum += c
 		if cum > target {
 			return float64(ms+1) / 1000
 		}
 	}
-	return float64(len(hist)) / 1000
-}
-
-func (r *Runner) delayPercentile(q float64) float64 {
-	return delayPercentile(&r.delayHist, r.delayStats.N(), q)
+	return float64(len(r.delayHist)) / 1000
 }
 
 // Run executes a single scenario run. With observability enabled
@@ -1016,18 +942,6 @@ func Run(cfg Config) (Metrics, error) {
 	}
 	key, m, ok := cacheGet(cfg)
 	if ok {
-		return m, nil
-	}
-	if k := effectiveShards(cfg); k > 1 {
-		e, err := newShardExec(cfg, k)
-		if err != nil {
-			return Metrics{}, err
-		}
-		m = e.run()
-		if _, err := e.flushObs(); err != nil {
-			return m, err
-		}
-		cachePut(cfg, key, m)
 		return m, nil
 	}
 	r := newRunner(cfg)
@@ -1057,19 +971,16 @@ func RunSeedsParallel(cfg Config, seeds []uint64, workers int) (MultiMetrics, er
 	return mm, err
 }
 
-// RunRecord describes one completed run beyond its Metrics: where it
-// came from and, for sharded runs, how the event load split. Metrics
-// itself stays shard-free — the record is a side channel, so aggregate
-// results (and their cache entries) are bitwise-identical whether or not
-// anyone asked for records.
+// RunRecord describes one completed run beyond its Metrics. The record is
+// a side channel, so aggregate results (and their cache entries) are
+// bitwise-identical whether or not anyone asked for records.
 type RunRecord struct {
 	// Seed is the run's resolved seed.
 	Seed uint64
-	// Shards is the shard count the run executed with (1 = serial).
-	Shards int
-	// ShardExecuted holds each shard's executed-event count, indexed by
-	// shard (a serial run reports one entry). Nil for cached results —
-	// the events were executed in some earlier process.
+	// ShardExecuted holds the run's executed-event count as a one-element
+	// slice. Runs are serial; the name and shape are kept for callers
+	// that sum it. Nil for cached results — the events were executed in
+	// some earlier process.
 	ShardExecuted []uint64
 	// Cached reports whether the result came from the result cache.
 	Cached bool
@@ -1077,8 +988,11 @@ type RunRecord struct {
 
 // RunSeedsObserved is RunSeedsParallel returning, additionally, one
 // RunRecord per seed (in seed order). The metrics are computed exactly
-// as RunSeedsParallel computes them.
+// as RunSeedsParallel computes them. An empty seed list is an error.
 func RunSeedsObserved(cfg Config, seeds []uint64, workers int) (MultiMetrics, []RunRecord, error) {
+	if len(seeds) == 0 {
+		return MultiMetrics{}, nil, fmt.Errorf("scenario: no seeds to run")
+	}
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
@@ -1134,8 +1048,11 @@ func RunSeedsObserved(cfg Config, seeds []uint64, workers int) (MultiMetrics, []
 	return Aggregate(runs), recs, nil
 }
 
-// DefaultSeeds returns n deterministic seeds.
+// DefaultSeeds returns n deterministic seeds (nil for n <= 0).
 func DefaultSeeds(n int) []uint64 {
+	if n <= 0 {
+		return nil
+	}
 	s := make([]uint64, n)
 	for i := range s {
 		s[i] = uint64(0x9E3779B9*(i+1)) + 1

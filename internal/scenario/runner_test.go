@@ -391,6 +391,60 @@ func TestPerLinkMetricsPopulated(t *testing.T) {
 	}
 }
 
+// chainConfig is a short multi-hop scenario: links chained links (paper
+// defaults: 10 Mb/s, 20 ms, 200 pkts), one class over the whole chain
+// plus one single-link class per link.
+func chainConfig(links int) Config {
+	cfg := Config{
+		Duration:        25 * sim.Second,
+		Warmup:          5 * sim.Second,
+		InterArrival:    0.4,
+		LifetimeSec:     60,
+		PrepopulateUtil: 0.5,
+		Seed:            11,
+	}
+	cfg.Links = make([]LinkSpec, links)
+	long := make([]int, links)
+	for i := range long {
+		long[i] = i
+	}
+	cfg.Classes = append(cfg.Classes, ClassSpec{Name: "long", Preset: trafgen.EXP1, Weight: 1, Eps: -1, Path: long})
+	for i := 0; i < links; i++ {
+		cfg.Classes = append(cfg.Classes, ClassSpec{Name: "x", Preset: trafgen.EXP1, Weight: 1, Eps: -1, Path: []int{i}})
+	}
+	return cfg
+}
+
+// TestRunSeedsObservedRecords pins the RunRecord side channel: per-seed
+// records in input order, each with the run's executed-event count as a
+// one-element ShardExecuted, identically for one worker and a pool.
+func TestRunSeedsObservedRecords(t *testing.T) {
+	cfg := chainConfig(3)
+	seeds := []uint64{7, 8}
+	mm, recs, err := RunSeedsObserved(cfg, seeds, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(recs) != len(seeds) {
+		t.Fatalf("records = %d, want %d", len(recs), len(seeds))
+	}
+	for i, r := range recs {
+		if r.Seed != seeds[i] {
+			t.Fatalf("record %d seed = %d, want %d (order must match input)", i, r.Seed, seeds[i])
+		}
+		if len(r.ShardExecuted) != 1 || r.ShardExecuted[0] == 0 || r.Cached {
+			t.Fatalf("record %d = %+v, want one nonzero executed count", i, r)
+		}
+	}
+	mm2, recs2, err := RunSeedsObserved(cfg, seeds, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(mm, mm2) || !reflect.DeepEqual(recs, recs2) {
+		t.Fatal("pooled RunSeedsObserved diverged from the single-worker path")
+	}
+}
+
 // TestRunSeedsParallelDeterminism proves the hard requirement of the
 // parallel engine: the aggregate over seeds is bitwise-identical for any
 // worker count, because each run owns its Sim and RNG streams and
@@ -429,11 +483,41 @@ func TestRunSeedsParallelDeterminism(t *testing.T) {
 }
 
 // TestRunSeedsParallelError checks that a config error surfaces from the
-// parallel path just as it does sequentially.
+// parallel path just as it does sequentially, and that an empty seed list
+// is an error rather than an all-zero aggregate (DefaultSeeds yields none
+// for n <= 0).
 func TestRunSeedsParallelError(t *testing.T) {
 	bad := quickCfg()
 	bad.InterArrival = -1
 	if _, err := RunSeedsParallel(bad, DefaultSeeds(3), 2); err == nil {
 		t.Fatal("expected config error from parallel run")
+	}
+	if _, err := RunSeeds(quickCfg(), nil); err == nil {
+		t.Fatal("RunSeeds with no seeds returned no error")
+	}
+	for _, n := range []int{0, -1} {
+		if s := DefaultSeeds(n); s != nil {
+			t.Errorf("DefaultSeeds(%d) = %v, want nil", n, s)
+		}
+	}
+}
+
+// TestRunSeedsLeavesConfigUnchanged pins that resolving defaults never
+// writes into the caller's Classes or Links backing arrays: the pool's
+// workers resolve one shared config concurrently, so a write there would
+// both mutate the caller's value and race (make race runs this).
+func TestRunSeedsLeavesConfigUnchanged(t *testing.T) {
+	cfg := quickCfg()
+	cfg.Duration = 10 * sim.Second
+	cfg.Warmup = 2 * sim.Second
+	cfg.Links = []LinkSpec{{}}
+	if _, _, err := RunSeedsObserved(cfg, DefaultSeeds(4), 4); err != nil {
+		t.Fatal(err)
+	}
+	if cl := cfg.Classes[0]; cl.Name != "" || cl.Weight != 0 {
+		t.Errorf("caller's class resolved in place: name %q weight %g", cl.Name, cl.Weight)
+	}
+	if cfg.Links[0] != (LinkSpec{}) {
+		t.Errorf("caller's link resolved in place: %+v", cfg.Links[0])
 	}
 }

@@ -54,18 +54,18 @@ func TestParseSchedule(t *testing.T) {
 func TestParseScheduleErrors(t *testing.T) {
 	for _, spec := range []string{
 		"",
-		"hold",             // no phases
-		"wave:10:1",        // unknown kind
-		"const:10",         // missing factor
-		"const:10:1:2",     // too many args
-		"ramp:10:1",        // ramp needs two factors
-		"const:ten:1",      // non-numeric
-		"const:0:1",        // zero duration
-		"const:-5:1",       // negative duration
-		"const:10:-1",      // negative factor
-		"const:10:0",       // peak zero: no traffic ever
-		"steps:10",         // steps needs at least one factor
-		"flash:10:5:1",     // flash needs four args
+		"hold",                 // no phases
+		"wave:10:1",            // unknown kind
+		"const:10",             // missing factor
+		"const:10:1:2",         // too many args
+		"ramp:10:1",            // ramp needs two factors
+		"const:ten:1",          // non-numeric
+		"const:0:1",            // zero duration
+		"const:-5:1",           // negative duration
+		"const:10:-1",          // negative factor
+		"const:10:0",           // peak zero: no traffic ever
+		"steps:10",             // steps needs at least one factor
+		"flash:10:5:1",         // flash needs four args
 		"sine:10:1:" + "1e999", // non-finite factor
 	} {
 		if _, err := ParseSchedule(spec); err == nil {
@@ -211,7 +211,9 @@ func TestLoadOnFractionFull(t *testing.T) {
 }
 
 // TestScheduleArrivalCounts pins the schedule's thinning end to end: a
-// two-step schedule produces the stepped arrival rates, counted per phase.
+// two-step schedule produces the stepped arrival rates, counted per phase,
+// and a one-shot spike on a 4-link chain is modulated on the absolute
+// phase clock.
 func TestScheduleArrivalCounts(t *testing.T) {
 	sched := Schedule{Phases: []Phase{
 		{Kind: PhaseConst, DurationSec: 50, From: 1, To: 1},
@@ -234,6 +236,26 @@ func TestScheduleArrivalCounts(t *testing.T) {
 	}
 	if m.Decided < 220 || m.Decided > 380 {
 		t.Errorf("3x phase saw %d arrivals, want ~300", m.Decided)
+	}
+
+	spike := chainConfig(4)
+	spike.Method = None
+	spike.LifetimeSec = 2
+	spike.InterArrival = 0.2
+	spike.Schedule = Schedule{Phases: []Phase{
+		{Kind: PhaseConst, DurationSec: 10, From: 1, To: 1},
+		{Kind: PhaseConst, DurationSec: 5, From: 4, To: 4},
+		{Kind: PhaseConst, DurationSec: 15, From: 1, To: 1},
+	}, Hold: true}
+	// Window over the spike only: the phase clock is absolute sim time.
+	spike.Warmup = 10 * sim.Second
+	spike.Drain = spike.Duration - 15*sim.Second
+	if m, err = Run(spike); err != nil {
+		t.Fatal(err)
+	}
+	// 5s at 4x of 5/s = ~100 expected; Poisson ±4 sigma is ±40.
+	if m.Decided < 55 || m.Decided > 145 {
+		t.Errorf("spike window saw %d arrivals, want ~100", m.Decided)
 	}
 }
 
@@ -341,9 +363,9 @@ func TestParseReplayTolerant(t *testing.T) {
 	in := strings.Join([]string{
 		`{"t":0.5,"ev":"arrival","flow":3,"class":1}`,
 		`{"t":0.25,"ev":"enqueue","link":"l0","flow":1}`, // other kind: skipped
-		`not json at all`,                                // damaged: skipped
-		`{"t":-1,"ev":"arrival","class":0}`,              // negative time: skipped
-		`{"t":1.5,"ev":"arrival","class":0,"shard":1}`,   // sharded form parses too
+		`not json at all`,                              // damaged: skipped
+		`{"t":-1,"ev":"arrival","class":0}`,            // negative time: skipped
+		`{"t":1.5,"ev":"arrival","class":0,"shard":1}`, // unknown keys: ignored
 		``,
 	}, "\n")
 	tr, err := ParseReplay(strings.NewReader(in), "mem")
@@ -437,111 +459,5 @@ func TestReplayRoundTrip(t *testing.T) {
 	}
 	if !reflect.DeepEqual(m1, m2) {
 		t.Fatalf("replayed metrics diverge from the recorded run\nrecorded: %+v\nreplayed: %+v", m1, m2)
-	}
-}
-
-// TestReplayRoundTripSharded extends the round trip across the sharded
-// executor: a 2-shard run's merged trace, replayed under the same shard
-// count, reproduces the sharded metrics byte for byte. Each shard replays
-// exactly the arrivals of the classes it owns — the same partition the
-// recording shards drew them under.
-func TestReplayRoundTripSharded(t *testing.T) {
-	if testing.Short() {
-		t.Skip("two full sharded simulations")
-	}
-	dir := t.TempDir()
-	cfg := Config{
-		Classes: []ClassSpec{
-			{Name: "long", Preset: trafgen.EXP1, Weight: 1, Eps: -1, Path: []int{0, 1}},
-			{Name: "x0", Preset: trafgen.EXP1, Weight: 1, Eps: -1, Path: []int{0}},
-			{Name: "x1", Preset: trafgen.EXP1, Weight: 1, Eps: -1, Path: []int{1}},
-		},
-		Links: []LinkSpec{
-			{RateBps: 2e6, Delay: 10 * sim.Millisecond, BufferPkts: 40},
-			{RateBps: 2e6, Delay: 10 * sim.Millisecond, BufferPkts: 40},
-		},
-		InterArrival:    0.5,
-		LifetimeSec:     10,
-		Duration:        40 * sim.Second,
-		Warmup:          10 * sim.Second,
-		Method:          EAC,
-		AC:              admission.Config{Design: admission.DropInBand, Kind: admission.SlowStart, Eps: 0.02},
-		PrepopulateUtil: 0.5,
-		Seed:            7,
-		Shards:          2,
-		Schedule: Schedule{Phases: []Phase{
-			{Kind: PhaseConst, DurationSec: 15, From: 1, To: 1},
-			{Kind: PhaseConst, DurationSec: 8, From: 3, To: 3},
-			{Kind: PhaseConst, DurationSec: 20, From: 1, To: 1},
-		}, Hold: true},
-		Obs: obs.Config{
-			Enabled:       true,
-			Dir:           dir,
-			Label:         "replayshard",
-			TraceCapacity: 1 << 20,
-			TracePath:     filepath.Join(dir, "shard-trace.jsonl"),
-		},
-	}
-	m1, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr, err := LoadReplay(cfg.Obs.TracePath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tr.Len() == 0 {
-		t.Fatal("recorded merged trace contains no arrival events")
-	}
-
-	rep := cfg
-	rep.Schedule = Schedule{}
-	rep.Obs = obs.Config{}
-	rep.Replay = tr
-	m2, err := Run(rep)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(m1, m2) {
-		t.Fatalf("sharded replay diverges from the recorded sharded run\nrecorded: %+v\nreplayed: %+v", m1, m2)
-	}
-}
-
-// TestScheduleShardPhaseClock pins that sharded thinning reads the same
-// absolute phase clock as the serial path: with a one-shot spike schedule,
-// the sharded run's in-window arrival count must sit in the same band as
-// the serial one (statistical equivalence; the conformance envelope covers
-// the full metric set).
-func TestScheduleShardPhaseClock(t *testing.T) {
-	base := shardChainConfig(4)
-	base.Method = None
-	base.LifetimeSec = 2
-	base.InterArrival = 0.2
-	base.Schedule = Schedule{Phases: []Phase{
-		{Kind: PhaseConst, DurationSec: 10, From: 1, To: 1},
-		{Kind: PhaseConst, DurationSec: 5, From: 4, To: 4},
-		{Kind: PhaseConst, DurationSec: 15, From: 1, To: 1},
-	}, Hold: true}
-	// Window over the spike only: the phase clock is absolute sim time, so
-	// every shard must modulate [10, 15) at 4x regardless of partition.
-	base.Warmup = 10 * sim.Second
-	base.Drain = base.Duration - 15*sim.Second
-
-	serial := base
-	m1, err := Run(serial)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sharded := base
-	sharded.Shards = 2
-	m2, err := Run(sharded)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// 5s at 4x of 5/s = ~100 expected; Poisson ±4 sigma is ±40.
-	for name, n := range map[string]int64{"serial": m1.Decided, "sharded": m2.Decided} {
-		if n < 55 || n > 145 {
-			t.Errorf("%s spike window saw %d arrivals, want ~100", name, n)
-		}
 	}
 }

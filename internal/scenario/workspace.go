@@ -13,8 +13,7 @@ import "encoding/json"
 // (RunSeedsParallel, the experiments engine) give each worker goroutine its
 // own Workspace.
 type Workspace struct {
-	r  *Runner
-	sx *shardExec // sharded-path twin of r, reused across sharded runs
+	r *Runner
 }
 
 // NewWorkspace returns an empty workspace; the first Run populates it.
@@ -23,45 +22,23 @@ func NewWorkspace() *Workspace { return &Workspace{} }
 // Run behaves exactly like the package-level Run — same defaults,
 // validation, metrics, observability flush, and cache protocol — but
 // recycles the previous run's allocations when the topology size matches.
-// Configs with an effective shard count above 1 take the sharded executor
-// (with its own reuse seam, one Workspace per shard set); all others take
-// the byte-identical serial path.
 func (ws *Workspace) Run(cfg Config) (Metrics, error) {
 	m, _, err := ws.RunRecorded(cfg)
 	return m, err
 }
 
 // RunRecorded is Run returning, additionally, a RunRecord describing the
-// run (seed, shard count, per-shard executed-event counts, cache hit).
+// run (seed, executed-event count, cache hit).
 // The Metrics are computed exactly as Run computes them.
 func (ws *Workspace) RunRecorded(cfg Config) (Metrics, RunRecord, error) {
 	cfg = cfg.WithDefaults()
 	if err := cfg.Validate(); err != nil {
 		return Metrics{}, RunRecord{}, err
 	}
-	rec := RunRecord{Seed: cfg.Seed, Shards: 1}
+	rec := RunRecord{Seed: cfg.Seed}
 	key, m, ok := cacheGet(cfg)
 	if ok {
 		rec.Cached = true
-		rec.Shards = effectiveShards(cfg)
-		return m, rec, nil
-	}
-	if k := effectiveShards(cfg); k > 1 {
-		if ws.sx != nil && ws.sx.canReuse(cfg, k) {
-			ws.sx.reset(cfg)
-		} else {
-			sx, err := newShardExec(cfg, k)
-			if err != nil {
-				return Metrics{}, rec, err
-			}
-			ws.sx = sx
-		}
-		m = ws.sx.run()
-		rec.Shards, rec.ShardExecuted = k, ws.sx.executed()
-		if _, err := ws.sx.flushObs(); err != nil {
-			return m, rec, err
-		}
-		cachePut(cfg, key, m)
 		return m, rec, nil
 	}
 	if ws.r != nil && ws.r.canReuse(cfg) {
@@ -76,21 +53,6 @@ func (ws *Workspace) RunRecorded(cfg Config) (Metrics, RunRecord, error) {
 	}
 	cachePut(cfg, key, m)
 	return m, rec, nil
-}
-
-// ShardExecuted returns the per-shard executed-event counts of the most
-// recent sharded run; a workspace that has only run the serial path
-// returns the serial simulator's count as a one-element slice, and a
-// workspace that has not run anything returns nil. Benchmarks use it to
-// report load balance and the critical-path speedup bound.
-func (ws *Workspace) ShardExecuted() []uint64 {
-	if ws.sx != nil {
-		return ws.sx.executed()
-	}
-	if ws.r != nil {
-		return []uint64{ws.r.Sim().Executed()}
-	}
-	return nil
 }
 
 // cacheGet consults cfg.Cache for the run's fingerprinted result. The

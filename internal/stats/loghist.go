@@ -5,10 +5,10 @@ import "math/bits"
 // LogHist is a histogram over non-negative int64 values with
 // power-of-two ("log-bucket") bucket edges: bucket 0 holds the value 0,
 // bucket i >= 1 holds values in [2^(i-1), 2^i - 1]. The fixed bucket
-// layout makes histograms from different shards (or seeds) mergeable by
-// plain elementwise addition, so a sharded run can aggregate exactly the
-// distribution a serial run over the same events would have produced —
-// no rebinning, no approximation beyond the bucket width itself.
+// layout makes histograms from different runs (or seeds) mergeable by
+// plain elementwise addition, giving exactly the distribution one
+// histogram over all the events would have produced — no rebinning, no
+// approximation beyond the bucket width itself.
 //
 // Negative values are clamped to 0 (callers record durations and queue
 // depths, which are never meaningfully negative). The zero value is an

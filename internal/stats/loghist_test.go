@@ -101,28 +101,28 @@ func TestLogHistTopBucketEdges(t *testing.T) {
 	}
 }
 
-// TestLogHistMergeMatchesSerial is the sharding soundness property: for
-// any event stream, splitting it across K per-shard histograms and
-// merging gives exactly the serial histogram — counts, sum, and every
-// bucket. Runs over several seeds and shard counts.
+// TestLogHistMergeMatchesSerial is the merge soundness property: for any
+// event stream, splitting it across K histograms and merging gives
+// exactly the single histogram — counts, sum, and every bucket. Runs over
+// several seeds and partition counts.
 func TestLogHistMergeMatchesSerial(t *testing.T) {
 	for seed := uint64(1); seed <= 10; seed++ {
 		for _, k := range []int{1, 2, 3, 5, 8} {
 			t.Run(fmt.Sprintf("seed=%d/k=%d", seed, k), func(t *testing.T) {
 				r := NewRNG(seed)
 				var serial LogHist
-				shards := make([]LogHist, k)
+				parts := make([]LogHist, k)
 				for i := 0; i < 5000; i++ {
 					v := int64(r.Intn(1 << 30))
 					serial.Add(v)
-					// Assign to a shard the way the scenario layer does:
-					// by an independent property of the event, not round
-					// robin — the property must hold for any partition.
-					shards[int(r.Uint64()%uint64(k))].Add(v)
+					// Assign by an independent property of the event, not
+					// round robin — the property must hold for any
+					// partition.
+					parts[int(r.Uint64()%uint64(k))].Add(v)
 				}
 				var merged LogHist
-				for i := range shards {
-					merged.Merge(shards[i])
+				for i := range parts {
+					merged.Merge(parts[i])
 				}
 				if merged != serial {
 					t.Fatalf("merged != serial:\nmerged %+v\nserial %+v", merged, serial)
